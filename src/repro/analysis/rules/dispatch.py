@@ -24,10 +24,10 @@ from repro.analysis.rules.base import (FileContext, Rule, RuleViolation,
 #: :mod:`repro.mpn.packed` are covered too: they are reachable only
 #: through the dispatchers' backend resolution or a lowered
 #: ``backend="packed"`` Plan, never called directly.  Likewise the
-#: residue-number-system kernels of :mod:`repro.mpn.rns`: sanctioned
-#: routes are the dispatchers' ``backend="rns"`` resolution, a lowered
-#: rns Plan (``plan.execute.run``/``run_rns_batch``), and the
-#: accelerator's batch entry point.
+#: residue-number-system mul kernels of :mod:`repro.mpn.rns`:
+#: sanctioned routes are the dispatchers' ``backend="rns"``
+#: resolution, a lowered rns Plan (``plan.execute.run``/
+#: ``run_rns_batch``), and the accelerator's batch entry point.
 KERNEL_ENTRYPOINTS = frozenset({
     "mul_schoolbook", "sqr_schoolbook",
     "mul_karatsuba", "sqr_karatsuba",
@@ -35,8 +35,8 @@ KERNEL_ENTRYPOINTS = frozenset({
     "divmod_schoolbook", "divmod_newton", "divmod_bz",
     "mul_packed", "sqr_packed", "divmod_packed",
     "add_packed", "sub_packed", "shl_packed", "shr_packed",
-    "mul_rns", "sqr_rns", "powmod_rns",
-    "mul_batch_rns", "powmod_batch_rns",
+    "powmod_packed",
+    "mul_rns", "sqr_rns", "mul_batch_rns",
 })
 
 

@@ -244,14 +244,14 @@ def _plan_thresholds(plan):
     the host's current tuning, which may have moved since.
     """
     from types import SimpleNamespace
-    tuning = list(plan.tuning) + [0] * 13
+    tuning = list(plan.tuning) + [0] * 12
     return SimpleNamespace(
         karatsuba_limbs=tuning[1], toom3_limbs=tuning[2],
         toom4_limbs=tuning[3], toom6_limbs=tuning[4],
         ssa_limbs=tuning[5], bz_limbs=tuning[6],
         barrett_limbs=tuning[7], packed_mul_limbs=tuning[8],
         packed_div_limbs=tuning[9], rns_mul_limbs=tuning[10],
-        rns_powmod_limbs=tuning[11], specialize_limbs=tuning[12])
+        specialize_limbs=tuning[11])
 
 
 def _verify_schedule(plan, provenance: str) -> List[StreamViolation]:
@@ -309,7 +309,7 @@ def verify_plan(plan, operands: Optional[Sequence] = None,
     * **PV-COST** — the cycle estimate is finite and non-negative;
     * **PV-BACKEND** — the resolved backend is legal for the op
       (``device`` only for muls within the monolithic limit,
-      ``packed`` only for mul/div/mod, ``rns`` only for mul/powmod,
+      ``packed`` only for mul/div/mod/powmod, ``rns`` only for mul,
       ``specialized`` only for mul/div/mod);
     * **PV-ALGO** — for muls, re-deriving selection from the plan's
       recorded thresholds fingerprint reproduces the recorded
@@ -351,9 +351,9 @@ def verify_plan(plan, operands: Optional[Sequence] = None,
                             "specialized"):
         report("PV-BACKEND", "unresolved backend %r" % (plan.backend,))
     elif plan.backend == "packed":
-        if plan.spec.op not in ("mul", "div", "mod"):
+        if plan.spec.op not in ("mul", "div", "mod", "powmod"):
             report("PV-BACKEND", "the packed backend executes only "
-                   "mul/div/mod; %r cannot run packed"
+                   "mul/div/mod/powmod; %r cannot run packed"
                    % (plan.spec.op,))
     elif plan.backend == "specialized":
         if plan.spec.op not in ("mul", "div", "mod"):
@@ -361,9 +361,9 @@ def verify_plan(plan, operands: Optional[Sequence] = None,
                    "only mul/div/mod; %r cannot run specialized"
                    % (plan.spec.op,))
     elif plan.backend == "rns":
-        if plan.spec.op not in ("mul", "powmod"):
+        if plan.spec.op != "mul":
             report("PV-BACKEND", "the rns backend executes only "
-                   "mul/powmod; %r cannot run rns" % (plan.spec.op,))
+                   "mul; %r cannot run rns" % (plan.spec.op,))
     elif plan.backend == "device":
         if plan.spec.op != "mul":
             report("PV-BACKEND", "only mul lowers to a device stream; "

@@ -183,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     tune_parser.add_argument("--no-packed", action="store_true",
                              help="skip the packed-backend crossovers")
     tune_parser.add_argument("--no-rns", action="store_true",
-                             help="skip the rns-backend crossovers")
+                             help="skip the rns batch-mul crossover")
     tune_parser.add_argument("--no-codegen", action="store_true",
                              help="skip the generic-vs-specialized "
                                   "crossover (keeps the default)")
@@ -366,9 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
                                help="reduced ladder for CI smoke runs")
     bench_kernels.add_argument("--check", action="store_true",
                                help="exit 1 if packed regresses below "
-                                    "0.9x limb, specialized mul below "
-                                    "1.15x the generic limb path, rns "
-                                    "powmod below 1.2x limb, or serial "
+                                    "0.9x limb, packed powmod below 3x "
+                                    "limb, specialized mul below 1.15x "
+                                    "the generic limb path, or serial "
                                     "rns mul past the packed-baseline "
                                     "canary bound, at the largest "
                                     "measured size")
@@ -925,12 +925,12 @@ def _cmd_bench_kernels(args: argparse.Namespace) -> int:
         if failures:
             return 1
         print("check: every backend matches the bigint oracle at every "
-              "point; packed >= %.1fx limb, specialized mul >= %.2fx "
-              "limb, rns powmod >= %.1fx limb, serial rns mul within "
-              "the packed canary bound at the largest sizes"
+              "point; packed >= %.1fx limb, packed powmod >= %.1fx "
+              "limb, specialized mul >= %.2fx limb, serial rns mul "
+              "within the packed canary bound at the largest sizes"
               % (_ck.CHECK_MIN_SPEEDUP,
-                 _ck.CHECK_SPECIALIZED_MIN_SPEEDUP,
-                 _ck.CHECK_RNS_POWMOD_MIN_SPEEDUP),
+                 _ck.CHECK_PACKED_POWMOD_MIN_SPEEDUP,
+                 _ck.CHECK_SPECIALIZED_MIN_SPEEDUP),
               file=sys.stderr)
     return 0
 

@@ -20,10 +20,10 @@ plays elsewhere: block values never exceed ``2**(32*k)`` except as the
 explicit double-width products/carries the limb kernels also use.
 
 Reachability contract (lint rule RPR012): these kernels are selected by
-``repro.plan.select`` crossovers and invoked only through the mpn
-dispatchers (:func:`repro.mpn.mul.mul`, :func:`repro.mpn.div.
-divmod_nat`) or a lowered ``backend="packed"`` Plan — never called
-directly by layers above mpn.
+``repro.plan.select`` and invoked only through the mpn dispatchers
+(:func:`repro.mpn.mul.mul`, :func:`repro.mpn.div.divmod_nat`,
+:func:`repro.mpn.powmod`) or a lowered ``backend="packed"`` Plan —
+never called directly by layers above mpn.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from array import array
 from typing import List, Tuple
 
 from repro.mpn.nat import LIMB_BITS, MpnError, Nat, normalize
+from repro.mpn.nat import bit_length as nat_bit_length
 
 #: Limbs packed per block.  k=8 -> 256-bit blocks (radix 2^256): large
 #: enough to cut interpreter iterations ~8x, small enough that block
@@ -418,3 +419,114 @@ def divmod_packed(a: Nat, b: Nat, k: int = PACK_LIMBS) -> Tuple[Nat, Nat]:
     remainder_blocks = _bshr_bits(_bnormalize(u[:n]), shift, bits, mask)
     return (unpack_blocks(_bnormalize(quotient), k),
             unpack_blocks(remainder_blocks, k))
+
+
+# -- modular exponentiation ---------------------------------------------------
+
+
+def _inverse_block(block: int, bits: int) -> int:
+    """Inverse of an odd block modulo 2^bits by Newton lifting.
+
+    The block-width sibling of :func:`repro.mpn.montgomery._inverse_limb`:
+    odd numbers are self-inverse mod 8, and each step doubles the
+    number of correct low bits.
+    """
+    mask = (1 << bits) - 1
+    inverse, precision = block, 3
+    while precision < bits:
+        inverse = (inverse * (2 - block * inverse)) & mask
+        precision *= 2
+    return inverse
+
+
+def _bmont_mul(a: List[int], b: List[int], modulus: List[int],
+               neg_inverse: int, bits: int, mask: int) -> List[int]:
+    """Block Montgomery product ``a*b*R^-1 mod modulus``.
+
+    ``a``/``b`` are padded to ``len(modulus)`` blocks and below the
+    modulus; so is the result.  Each outer step adds one block row of
+    ``a*b``, picks the block ``m`` that zeroes the low block, adds
+    ``m*modulus`` and drops that block — the limb CIOS loop of
+    :class:`repro.mpn.montgomery.MontgomeryContext` with the block as
+    the digit, its two inner passes fused into one (the FIOS form:
+    ``m`` depends only on the low block, so it is known before the
+    row is added; one interpreter pass instead of two measured ~25%
+    faster).
+    """
+    n = len(modulus)
+    t = [0] * (n + 1)
+    b_low, modulus_low = b[0], modulus[0]
+    for block_a in a:
+        total = t[0] + block_a * b_low
+        m = ((total & mask) * neg_inverse) & mask
+        carry = (total + m * modulus_low) >> bits
+        for j in range(1, n):
+            total = t[j] + block_a * b[j] + m * modulus[j] + carry
+            t[j - 1] = total & mask
+            carry = total >> bits
+        total = t[n] + carry
+        t[n - 1] = total & mask
+        t[n] = total >> bits
+    # t < 2N: one conditional subtraction lands the result below N.
+    if t[n] or _bcmp(_bnormalize(t[:n]), modulus) >= 0:
+        t = _bsub(t, modulus, bits, mask)
+        return t + [0] * (n - len(t))
+    return t[:n]
+
+
+def powmod_packed(base: Nat, exponent: Nat, modulus: Nat,
+                  k: int = PACK_LIMBS) -> Nat:
+    """``base**exponent mod modulus`` over base-2^(32k) blocks.
+
+    Odd moduli run block Montgomery (:func:`_bmont_mul`) under the same
+    4-bit window schedule as :meth:`repro.mpn.montgomery.
+    MontgomeryContext.pow`, with ``R = 2^(32k*n)`` for an n-block
+    modulus; ``R mod N`` and ``R^2 mod N`` come from
+    :func:`divmod_packed`.  Even moduli keep the square-and-multiply-
+    over-division path of :func:`repro.mpn.montgomery.powmod`, on the
+    block multiplier.
+    """
+    if not modulus:
+        raise MpnError("zero modulus")
+    if modulus == [1]:
+        return []
+    if not modulus[0] & 1:
+        from repro.mpn.montgomery import powmod as _binary_powmod
+        return _binary_powmod(base, exponent, modulus,
+                              lambda x, y: mul_packed(x, y, k))
+    if not exponent:
+        return [1]
+    bits = LIMB_BITS * k
+    mask = (1 << bits) - 1
+    mod_blocks = pack_blocks(modulus, k)
+    n = len(mod_blocks)
+    neg_inverse = (-_inverse_block(mod_blocks[0], bits)) & mask
+
+    def padded(value: Nat) -> List[int]:
+        blocks = pack_blocks(divmod_packed(value, modulus, k)[1], k)
+        return blocks + [0] * (n - len(blocks))
+
+    def mont_mul(x: List[int], y: List[int]) -> List[int]:
+        return _bmont_mul(x, y, mod_blocks, neg_inverse, bits, mask)
+
+    one = padded([0] * (n * k) + [1])                  # R mod N
+    r_squared = padded([0] * (2 * n * k) + [1])        # R^2 mod N
+    base_mont = mont_mul(padded(base), r_squared)
+    window = [one, base_mont]
+    for _ in range(14):
+        window.append(mont_mul(window[-1], base_mont))
+
+    exp_blocks = pack_blocks(exponent, k)
+    accumulator = one
+    index = ((nat_bit_length(exponent) + 3) // 4) * 4 - 4
+    while index >= 0:
+        for _ in range(4):
+            accumulator = mont_mul(accumulator, accumulator)
+        # bits is a multiple of 4, so a nibble never straddles blocks.
+        block_index, offset = divmod(index, bits)
+        nibble = (exp_blocks[block_index] >> offset) & 0xF
+        if nibble:
+            accumulator = mont_mul(accumulator, window[nibble])
+        index -= 4
+    return unpack_blocks(_bnormalize(
+        mont_mul(accumulator, [1] + [0] * (n - 1))), k)

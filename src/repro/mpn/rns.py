@@ -12,15 +12,10 @@ very end.  Channels (for one product) and batch items (for a batch) are
 therefore embarrassingly parallel across
 :class:`repro.parallel.ParallelExecutor` workers.
 
-Modular exponentiation runs entirely inside the residue system as the
-classic dual-base RNS Montgomery multiplication: values live as residue
-vectors over two disjoint channel bases ``B1``/``B2`` (products
-``M1``/``M2``, both ``>= 4N``), the Montgomery quotient ``q = -t*N^-1
-mod M1`` and the reduction ``r = (t + q*N)/M1`` are computed *per
-residue* with precomputed channel constants (each channel multiply uses
-the word-level :class:`ChannelMontgomery` reducer), and the two base
-extensions between ``B1`` and ``B2`` are exact CRT gathers.  No bigint
-division by the modulus ever happens inside the exponentiation loop.
+There is no RNS modular exponentiation: a residue Montgomery multiply
+pays a CRT gather and two bigint reductions, which on one interpreter
+thread loses to block Montgomery on the packed backend
+(:func:`repro.mpn.packed.powmod_packed`).
 
 Boundary contract (mirrors :mod:`repro.mpn.packed`): Python's big
 integers appear here as the *packed transport* of a residue system —
@@ -30,16 +25,17 @@ per-channel ``value mod m_i`` scatters and the CRT gather, both of
 which are the documented pack/unpack boundaries of this backend.
 
 Reachability contract (RPR012): the kernels here — :func:`mul_rns`,
-:func:`powmod_rns`, :func:`mul_batch_rns`, :func:`powmod_batch_rns` —
-are reachable only through the mpn dispatchers' ``backend="rns"``
-resolution, a lowered ``backend="rns"`` :class:`repro.plan` Plan
-(``plan.execute.run`` / ``plan.execute.run_rns_batch``), or the
-accelerator's batch entry point; calling them by name from higher
-layers trips the direct-dispatch lint rule.
+:func:`sqr_rns`, :func:`mul_batch_rns` — are reachable only through
+the mul dispatchers' ``backend="rns"`` resolution, a lowered
+``backend="rns"`` :class:`repro.plan` Plan (``plan.execute.run`` /
+``plan.execute.run_rns_batch``), or the accelerator's batch entry
+point; calling them by name from higher layers trips the
+direct-dispatch lint rule.
 
 The kill switch ``REPRO_RNS=0`` (declared in the env registry) removes
-the backend from every ``auto`` selection; explicit ``backend="rns"``
-requests still execute, which is what differential triage wants.
+the batch multiply from every ``auto`` selection; explicit
+``backend="rns"`` requests still execute, which is what differential
+triage wants.
 """
 
 from __future__ import annotations
@@ -326,210 +322,3 @@ def mul_batch_rns(pairs: Sequence[Tuple[Nat, Nat]], executor=None,
     else:
         products = [_mul_pair(task) for task in tasks]
     return [nat_from_int(product) for product in products]
-
-
-# -- modular exponentiation ---------------------------------------------------
-
-
-class _RnsMontgomery:
-    """Dual-base RNS Montgomery multiplier for one modulus N.
-
-    Working values ``v < 2N`` live as residue vectors over both bases.
-    One Montgomery multiply is the textbook RNS pipeline:
-
-    1. channel products ``t_i = a_i * b_i mod m_i`` in both bases;
-    2. per-residue quotient in B1: ``q_i = t_i * (-N^-1 mod m_i)``
-       (a :class:`ChannelMontgomery` multiply by the stored constant);
-    3. exact base extension of ``q`` to B2 via the B1 CRT gather;
-    4. per-residue reduction in B2:
-       ``r_i = t_i * M1^-1 + q_i * (N * M1^-1)`` — two channel
-       Montgomery multiplies by stored constants;
-    5. exact base extension of ``r = (t + qN)/M1 < 2N`` back to B1.
-
-    ``M1, M2 >= 4N`` keeps the < 2N bound an invariant of the loop.
-    """
-
-    __slots__ = ("modulus", "base1", "base2", "ctx1", "ctx2",
-                 "mont1", "mont2", "q_consts", "t_consts", "qn_consts",
-                 "one_vec", "entry_vec")
-
-    def __init__(self, modulus: int) -> None:
-        if modulus < 2:
-            raise RnsError("RNS Montgomery needs a modulus >= 2")
-        bits = modulus.bit_length() + 2          # M1, M2 >= 4N
-        channels = max(1, -(-bits // MODULUS_BITS) + 1)
-        while True:
-            base1 = channel_moduli(channels)
-            base2 = channel_moduli(channels, offset=channels)
-            ctx1, ctx2 = RnsContext(base1), RnsContext(base2)
-            if min(ctx1.capacity_bits, ctx2.capacity_bits) >= bits:
-                break
-            channels += 1
-        for modulus_i in base1 + base2:
-            if modulus % modulus_i == 0:
-                raise RnsError(
-                    "modulus shares the channel prime %d; the RNS "
-                    "Montgomery domain is undefined" % modulus_i)
-        self.modulus = modulus
-        self.base1, self.base2 = base1, base2
-        self.ctx1, self.ctx2 = ctx1, ctx2
-        self.mont1 = tuple(ChannelMontgomery(m) for m in base1)
-        self.mont2 = tuple(ChannelMontgomery(m) for m in base2)
-        m1 = ctx1.modulus_product
-        # Channel constants, stored in Montgomery form (cR mod m) so a
-        # single mont_mul against a plain residue yields a plain result.
-        self.q_consts = tuple(
-            mont.to_mont((-pow(modulus, -1, m)) % m)
-            for mont, m in zip(self.mont1, base1))
-        self.t_consts = tuple(
-            mont.to_mont(pow(m1 % m, -1, m))
-            for mont, m in zip(self.mont2, base2))
-        self.qn_consts = tuple(
-            mont.to_mont((modulus * pow(m1 % m, -1, m)) % m)
-            for mont, m in zip(self.mont2, base2))
-        # Domain constants: 1̄ = M1 mod N and the entry factor
-        # M1^2 mod N (entering x is mont_mul(x, M1^2 mod N)).
-        self.one_vec = self._encode(m1 % modulus)
-        self.entry_vec = self._encode((m1 * m1) % modulus)
-
-    # The encode/decode pair is this backend's pack/unpack boundary.
-
-    def _encode(self, value: int) -> Tuple[Tuple[int, ...],
-                                           Tuple[int, ...]]:
-        return (tuple(value % m for m in self.base1),
-                tuple(value % m for m in self.base2))
-
-    def mont_mul(self, a_vec, b_vec):
-        """One RNS Montgomery multiply (inputs and output < 2N)."""
-        t1 = tuple((x * y) % m for x, y, m
-                   in zip(a_vec[0], b_vec[0], self.base1))
-        t2 = tuple((x * y) % m for x, y, m
-                   in zip(a_vec[1], b_vec[1], self.base2))
-        # Per-residue Montgomery quotient in B1.
-        q1 = tuple(mont.mont_mul(t, c) for mont, t, c
-                   in zip(self.mont1, t1, self.q_consts))
-        # Exact base extension B1 -> B2 (CRT gather of q < M1).
-        q = self.ctx1.decode(q1)
-        # Per-residue reduction in B2: r = (t + qN) / M1.
-        r2 = []
-        for mont, m, t, t_const, qn_const in zip(
-                self.mont2, self.base2, t2, self.t_consts,
-                self.qn_consts):
-            term = mont.mont_mul(t, t_const) \
-                + mont.mont_mul(q % m, qn_const)
-            r2.append(term - m if term >= m else term)
-        # Exact base extension B2 -> B1 (r < 2N < M2 reconstructs).
-        r = self.ctx2.decode(tuple(r2))
-        return self._encode(r)
-
-    def value(self, vec) -> int:
-        """The exact integer (< 2N) a working vector represents."""
-        return self.ctx2.decode(vec[1])
-
-    def pow(self, base: int, exponent: int) -> int:
-        """base**exponent mod N with a 4-bit window (matches the
-        limb Montgomery exponentiation's schedule exactly)."""
-        if exponent == 0:
-            return 1 % self.modulus
-        base %= self.modulus
-        if base == 0:
-            return 0
-        base_vec = self.mont_mul(self._encode(base), self.entry_vec)
-        window = [self.one_vec, base_vec]
-        for _ in range(14):
-            window.append(self.mont_mul(window[-1], base_vec))
-        accumulator = self.one_vec
-        bits = exponent.bit_length()
-        index = ((bits + 3) // 4) * 4 - 4
-        while index >= 0:
-            for _ in range(4):
-                accumulator = self.mont_mul(accumulator, accumulator)
-            nibble = (exponent >> index) & 0xF
-            if nibble:
-                accumulator = self.mont_mul(accumulator, window[nibble])
-            index -= 4
-        result = self.value(self.mont_mul(accumulator, self._encode(1)))
-        # Exiting the domain multiplies by the plain residue 1, so the
-        # final reduction result is < N + 1; one conditional subtract
-        # lands it in [0, N).
-        return result - self.modulus if result >= self.modulus \
-            else result
-
-
-#: Per-process engine cache: serve batches repeat moduli (one RSA key,
-#: many exponentiations), and workers re-derive identical engines.
-_ENGINE_CACHE: Dict[int, _RnsMontgomery] = {}
-_ENGINE_CACHE_SIZE = 8
-
-
-def _engine_for(modulus: int) -> _RnsMontgomery:
-    engine = _ENGINE_CACHE.get(modulus)
-    if engine is None:
-        engine = _RnsMontgomery(modulus)
-        if len(_ENGINE_CACHE) >= _ENGINE_CACHE_SIZE:
-            _ENGINE_CACHE.pop(next(iter(_ENGINE_CACHE)))
-        _ENGINE_CACHE[modulus] = engine
-    return engine
-
-
-def powmod_rns(base: Nat, exponent: Nat, modulus: Nat) -> Nat:
-    """base**exponent mod modulus through the dual-base RNS pipeline.
-
-    Works for odd *and* even moduli (the Montgomery radix here is the
-    odd channel product M1, not a power of two).  The one excluded
-    case — a modulus sharing one of the 61-bit channel primes — falls
-    back to the limb Montgomery kernel, which is bit-identical by
-    definition (both compute the unique canonical residue).
-    """
-    from repro.mpn import nat as _nat
-    if _nat.is_zero(modulus):
-        raise MpnError("zero modulus")
-    n = nat_to_int(modulus)
-    if n == 1:
-        return []
-    try:
-        engine = _engine_for(n)
-    except RnsError:
-        from repro.mpn.montgomery import powmod as _limb_powmod
-        return _limb_powmod(base, exponent, modulus)
-    return nat_from_int(engine.pow(nat_to_int(base),
-                                   nat_to_int(exponent)))
-
-
-def _powmod_task(task: Tuple[int, int, int]) -> int:
-    """Worker-side exponentiation (top-level, hence picklable)."""
-    base, exponent, modulus = task
-    if modulus == 1:
-        return 0
-    try:
-        engine = _engine_for(modulus)
-    except RnsError:
-        from repro.mpn.montgomery import powmod as _limb_powmod
-        return nat_to_int(_limb_powmod(nat_from_int(base),
-                                       nat_from_int(exponent),
-                                       nat_from_int(modulus)))
-    return engine.pow(base, exponent)
-
-
-def powmod_batch_rns(triples: Sequence[Tuple[Nat, Nat, Nat]],
-                     executor=None,
-                     timeout: Optional[float] = None) -> List[Nat]:
-    """Independent exponentiations fanned across executor workers.
-
-    Each item is one serial RNS exponentiation; the batch is the
-    parallel axis (channel work inside one exponentiation is serialized
-    by the square-and-multiply dependency chain, batch items are not).
-    Per-worker engine caches mean a batch over one shared modulus pays
-    the context setup once per worker, not once per item.
-    """
-    tasks = []
-    for base, exponent, modulus in triples:
-        n = nat_to_int(modulus)
-        if n == 0:
-            raise MpnError("zero modulus")
-        tasks.append((nat_to_int(base), nat_to_int(exponent), n))
-    if executor is not None and executor.workers > 1 and len(tasks) > 1:
-        values = executor.map(_powmod_task, tasks, timeout=timeout)
-    else:
-        values = [_powmod_task(task) for task in tasks]
-    return [nat_from_int(value) for value in values]

@@ -75,11 +75,11 @@ def run(plan, params: Dict[str, Any], device=None) -> Dict[str, Any]:
         return {"quotient": nat_to_int(quotient),
                 "remainder": nat_to_int(remainder)}
     if op == "powmod":
-        if plan.backend == "rns":
-            from repro.mpn.rns import powmod_rns
-            value = powmod_rns(nat_from_int(params["base"]),
-                               nat_from_int(params["exp"]),
-                               nat_from_int(params["mod"]))
+        if plan.backend == "packed":
+            from repro.mpn.packed import powmod_packed
+            value = powmod_packed(nat_from_int(params["base"]),
+                                  nat_from_int(params["exp"]),
+                                  nat_from_int(params["mod"]))
         else:
             from repro.mpn.montgomery import powmod
             value = powmod(nat_from_int(params["base"]),
@@ -111,33 +111,23 @@ def _device_mul(plan, a: int, b: int, device) -> int:
     return nat_to_int(driver.result(destination))
 
 
-def run_rns_batch(op: str, params_list, executor=None,
+def run_rns_batch(params_list, executor=None,
                   timeout: Optional[float] = None):
-    """Execute a homogeneous batch of rns-planned jobs in one fan-out.
+    """Execute a homogeneous batch of rns-planned muls in one fan-out.
 
-    The sanctioned batch route into :mod:`repro.mpn.rns`: batch items
-    (mul pairs or powmod triples) fan out across the executor's
-    workers, each running the carry-free channel pipeline end to end.
-    Results use the serve payload vocabulary with raw int values
-    (transport encoding stays with the caller), in request order,
-    bit-identical at every worker count.
+    The sanctioned batch route into :mod:`repro.mpn.rns`: mul pairs fan
+    out across the executor's workers, each running the carry-free
+    channel pipeline end to end.  Results use the serve payload
+    vocabulary with raw int values (transport encoding stays with the
+    caller), in request order, bit-identical at every worker count.
     """
     from repro.mpn import nat_from_int, nat_to_int
-    if op == "mul":
-        from repro.mpn.rns import mul_batch_rns
-        pairs = [(nat_from_int(p["a"]), nat_from_int(p["b"]))
-                 for p in params_list]
-        return [{"product": nat_to_int(product)}
-                for product in mul_batch_rns(pairs, executor=executor,
-                                             timeout=timeout)]
-    if op == "powmod":
-        from repro.mpn.rns import powmod_batch_rns
-        triples = [(nat_from_int(p["base"]), nat_from_int(p["exp"]),
-                    nat_from_int(p["mod"])) for p in params_list]
-        return [{"value": nat_to_int(value)}
-                for value in powmod_batch_rns(triples, executor=executor,
-                                              timeout=timeout)]
-    raise PlanError("no rns batch executor for operator %r" % (op,))
+    from repro.mpn.rns import mul_batch_rns
+    pairs = [(nat_from_int(p["a"]), nat_from_int(p["b"]))
+             for p in params_list]
+    return [{"product": nat_to_int(product)}
+            for product in mul_batch_rns(pairs, executor=executor,
+                                         timeout=timeout)]
 
 
 def model_query(model_op: str, bits_a: int, bits_b: int) -> float:

@@ -35,7 +35,9 @@ from repro.plan.spec import OpSpec, PlanError
 #: v4: specialized backend (compiled straight-line kernels of
 #: :mod:`repro.plan.codegen`) joins resolution for mul/div/mod; the
 #: fingerprint grew the specialize crossover.
-PLAN_SCHEMA_VERSION = 4
+#: v5: powmod resolves to packed (block Montgomery) instead of rns; the
+#: fingerprint lost the rns powmod crossover.
+PLAN_SCHEMA_VERSION = 5
 
 #: Host-side cost of answering a pure model query (cycles at device
 #: frequency); the query itself never touches the accelerator.
@@ -184,7 +186,7 @@ def _tuning_for(thresholds) -> Tuple[Tuple[int, ...], str]:
     # marks it as ad hoc.
     return ((0, thresholds.karatsuba_limbs, thresholds.toom3_limbs,
              thresholds.toom4_limbs, thresholds.toom6_limbs,
-             thresholds.ssa_limbs, 0, 0, 0, 0, 0, 0, 0), thresholds.name)
+             thresholds.ssa_limbs, 0, 0, 0, 0, 0, 0), thresholds.name)
 
 
 def lower(spec: OpSpec, thresholds=None, use_cache: bool = True) -> Plan:
@@ -216,10 +218,10 @@ def lower(spec: OpSpec, thresholds=None, use_cache: bool = True) -> Plan:
 
 
 #: Ops the block-packed backend can execute.
-_PACKED_OPS = ("mul", "div", "mod")
+_PACKED_OPS = ("mul", "div", "mod", "powmod")
 
 #: Ops the residue-number-system backend can execute.
-_RNS_OPS = ("mul", "powmod")
+_RNS_OPS = ("mul",)
 
 #: Ops the compiled-specialization backend can execute.
 _SPECIALIZED_OPS = ("mul", "div", "mod")
@@ -280,11 +282,8 @@ def _resolve_backend(spec: OpSpec, thresholds) -> str:
         return spec.backend
     if spec.op == "powmod":
         if spec.backend == "auto":
-            mod_limbs = -(-max(spec.bits_a, 1) // LIMB_BITS)
-            analytic = "rns" if _select.powmod_backend(
-                mod_limbs, thresholds) == "rns" else "library"
-            return _select.cost_refined("powmod", mod_limbs, analytic,
-                                        thresholds)
+            return "packed" if _select.powmod_backend() == "packed" \
+                else "library"
         return spec.backend
     return "library"
 
@@ -292,6 +291,11 @@ def _resolve_backend(spec: OpSpec, thresholds) -> str:
 def _mul_kernel_steps(min_limbs: int, policy) -> List[PlanStep]:
     return [PlanStep("kernel", algorithm, "%d limbs" % limbs)
             for algorithm, limbs in select.mul_chain(min_limbs, policy)]
+
+
+def _packed_kernel_steps(min_limbs: int) -> List[PlanStep]:
+    return [PlanStep("kernel", algorithm, "%d blocks" % blocks)
+            for algorithm, blocks in select.packed_chain(min_limbs)]
 
 
 def _lower_uncached(spec: OpSpec, thresholds, tuning: Tuple[int, ...],
@@ -314,8 +318,7 @@ def _lower_uncached(spec: OpSpec, thresholds, tuning: Tuple[int, ...],
         elif backend == "packed":
             min_limbs = -(-min(max(spec.bits_a, 1),
                                max(spec.bits_b, 1)) // LIMB_BITS)
-            steps = [PlanStep("kernel", name, "%d blocks" % blocks)
-                     for name, blocks in select.packed_chain(min_limbs)]
+            steps = _packed_kernel_steps(min_limbs)
             algorithm = steps[0].algorithm
         elif backend == "rns":
             from repro.mpn.rns import MODULUS_BITS
@@ -378,23 +381,23 @@ def _lower_uncached(spec: OpSpec, thresholds, tuning: Tuple[int, ...],
                           "precision-doubling Newton")]
         cost = mpapca.sqrt_cycles(spec.bits_a)
     elif op == "powmod":
-        if backend == "rns":
-            from repro.mpn.rns import MODULUS_BITS
-            channels = max(2, -(-(max(spec.bits_a, 1) + 2)
-                                // MODULUS_BITS) + 1)
-            algorithm = "rns-montgomery"
-            steps = [PlanStep("kernel", "rns-montgomery",
-                              "dual-base residue Montgomery (2x%d "
-                              "channels), exact CRT base extension"
-                              % channels)]
+        odd = bool(spec.detail_value("mod_odd", 1))
+        mod_limbs = -(-max(spec.bits_a, 1) // LIMB_BITS)
+        if backend == "packed" and odd:
+            from repro.mpn.packed import PACK_LIMBS
+            algorithm = "packed-montgomery"
+            steps = [PlanStep("kernel", algorithm,
+                              "%d-block modulus, 4-bit window"
+                              % -(-mod_limbs // PACK_LIMBS))]
         else:
-            odd = bool(spec.detail_value("mod_odd", 1))
             algorithm = "montgomery" if odd else "binary-division"
             note = "odd modulus: Montgomery domain" if odd \
                 else "even modulus: square-and-multiply over division"
-            mod_limbs = -(-max(spec.bits_a, 1) // LIMB_BITS)
             steps = [PlanStep("kernel", algorithm, note)]
-            steps.extend(_mul_kernel_steps(mod_limbs, policy))
+            if backend == "packed":
+                steps.extend(_packed_kernel_steps(mod_limbs))
+            else:
+                steps.extend(_mul_kernel_steps(mod_limbs, policy))
         cost = mpapca.powmod_cycles(spec.bits_a, max(spec.bits_b, 1))
     elif op in ("add", "sub"):
         algorithm = "carry-parallel"

@@ -30,12 +30,12 @@ PLAN_OPS = (
 #: device when the operation fits the monolithic hardware multiplier,
 #: otherwise packed (the block-packed kernels of
 #: :mod:`repro.mpn.packed`) or library by the tuned packed crossover;
-#: powmod resolves to rns (the residue-number-system kernels of
-#: :mod:`repro.mpn.rns`) at the tuned ``rns_powmod_limbs`` crossover;
-#: mul/div/mod resolve to specialized (the compiled straight-line
-#: kernels of :mod:`repro.plan.codegen`) at the tuned
-#: ``specialize_limbs`` crossover.  ``packed`` may be requested
-#: explicitly for mul/div/mod, ``rns`` for mul/powmod, ``specialized``
+#: powmod always resolves to packed (block Montgomery), library only
+#: under ``REPRO_PACKED=0``; mul/div/mod resolve to specialized (the
+#: compiled straight-line kernels of :mod:`repro.plan.codegen`) at the
+#: tuned ``specialize_limbs`` crossover.  ``packed`` may be requested
+#: explicitly for mul/div/mod/powmod, ``rns`` (the residue-number-
+#: system kernels of :mod:`repro.mpn.rns`) for mul, ``specialized``
 #: for mul/div/mod.
 BACKENDS = ("auto", "library", "device", "packed", "rns", "specialized")
 

@@ -14,9 +14,8 @@ expires, then dispatches the batch on a worker thread:
   ``submit_plan``, and the partial batch is forced out with the
   driver's ``flush()`` (one pipelined device pass instead of per-job
   fills);
-* jobs whose plan lowered to the ``rns`` backend (powmods past the
-  tuned ``rns_powmod_limbs`` crossover, explicit rns muls) fan out as
-  one carry-free residue-channel batch through
+* muls whose plan lowered to the ``rns`` backend fan out as one
+  carry-free residue-channel batch through
   :func:`repro.plan.execute.run_rns_batch` — the amortized regime
   where batch items parallelize with no carry-chain serialization;
 * everything else (library-backend plans: big muls, ``div``,
@@ -239,10 +238,10 @@ class DynamicBatcher:
                     job.plan is not None
                     and job.plan.backend == "device" for job in todo):
                 payloads = self._run_mul_batch(todo)
-            elif op in ("mul", "powmod") and all(
+            elif op == "mul" and all(
                     job.plan is not None
                     and job.plan.backend == "rns" for job in todo):
-                payloads = self._run_rns_batch(op, todo)
+                payloads = self._run_rns_batch(todo)
             else:
                 payloads = self.executor.map(
                     evaluate,
@@ -282,20 +281,18 @@ class DynamicBatcher:
             driver.result(_DEST_BASE + index)))}
             for index in range(len(jobs))]
 
-    def _run_rns_batch(self, op: str,
-                       jobs: List[Job]) -> List[Dict[str, Any]]:
-        """Rns-backed batch through the sanctioned plan-layer route.
+    def _run_rns_batch(self, jobs: List[Job]) -> List[Dict[str, Any]]:
+        """Rns-backed mul batch through the sanctioned plan-layer route.
 
-        Plans that lowered to the ``rns`` backend (batched muls past
-        the ``rns_mul_limbs`` floor, powmods past ``rns_powmod_limbs``)
-        fan their carry-free channel work across the executor's
-        workers via :func:`repro.plan.execute.run_rns_batch`; results
+        Mul plans that lowered to the ``rns`` backend fan their
+        carry-free channel work across the executor's workers via
+        :func:`repro.plan.execute.run_rns_batch`; results
         come back in request order, bit-identical to the per-job
         :func:`~repro.serve.jobs.evaluate` oracle, and are re-encoded
         here into the serve hex transport.
         """
         from repro.plan.execute import run_rns_batch
-        raw = run_rns_batch(op, [job.params for job in jobs],
+        raw = run_rns_batch([job.params for job in jobs],
                             executor=self.executor,
                             timeout=self._timeout_for(jobs))
         return [{key: hex(value) for key, value in payload.items()}

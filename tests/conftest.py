@@ -10,6 +10,21 @@ from hypothesis import strategies as st
 from repro.mpn import nat
 
 
+@pytest.fixture(autouse=True)
+def hermetic_paths(tmp_path_factory, monkeypatch):
+    """Pin every path the library writes by default into a temp dir.
+
+    Without this, tuning, plan caches and cost-dataset harvests land in
+    the host's ``~/.cache/repro`` and the checked-in
+    ``results/COST_dataset.jsonl``.  Subprocesses inherit the pins.
+    Tests that need their own paths still override these.
+    """
+    root = tmp_path_factory.mktemp("repro-paths")
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(root / "cache"))
+    monkeypatch.setenv("REPRO_THRESHOLDS", str(root / "thresholds.json"))
+    monkeypatch.setenv("REPRO_COST_DATASET", str(root / "dataset.jsonl"))
+
+
 @pytest.fixture
 def rng() -> random.Random:
     """A deterministic RNG per test."""

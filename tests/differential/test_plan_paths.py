@@ -119,7 +119,7 @@ class TestPowmodAndApps:
         base, exp, mod = _operand(4, 9), 65537, (1 << 127) - 1
         plan = plan_for_job("powmod", {"base": base, "exp": exp,
                                        "mod": mod})
-        assert plan.algorithm == "montgomery"
+        assert plan.algorithm == "packed-montgomery"
         assert run(plan, {"base": base, "exp": exp, "mod": mod})[
             "value"] == pow(base, exp, mod)
 

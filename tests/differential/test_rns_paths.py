@@ -1,14 +1,15 @@
 """The rns backend is bit-identical to the limb/packed backends.
 
-The residue-number-system kernels exist purely for batch fan-out and
-Montgomery-free exponentiation speed, so the contract is strict: at
-every size — and especially straddling the ``rns_mul_limbs`` /
-``rns_powmod_limbs`` crossovers where dispatch flips backends — the
-mpn dispatchers must return the same limbs whichever backend runs, and
+The residue-number-system kernels exist purely for batch fan-out, so
+the contract is strict: at every size — and especially straddling the
+``rns_mul_limbs`` crossover where batch dispatch flips backends — the
+mul dispatchers must return the same limbs whichever backend runs, and
 all of them must match Python's bigints.  The plan layer rides the
-same crossovers, so lowered ``rns`` plans are checked against
+same crossover, so lowered ``rns`` plans are checked against
 ``library`` plans, the batch routes against their serial oracles, and
-the memo-key salting against threshold changes.
+the memo-key salting against threshold changes.  Powmod is no longer
+an rns operation; its differential suite lives in
+``test_packed_paths.py``.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import mpn
 from repro.core.accelerator import CambriconP
 from repro.mpn.mul import GMP_POLICY, mul, sqr
-from repro.plan import OpSpec, select
-from repro.plan.execute import plan_for_job, run, run_rns_batch
+from repro.plan import OpSpec, PlanError, select
+from repro.plan.execute import run, run_rns_batch
 from repro.plan.lowering import lower
 
 from tests.conftest import from_nat, to_nat
@@ -91,7 +91,6 @@ class TestMulCrossover:
         monkeypatch.setenv(select.RNS_ENV, "0")
         threshold = select.active().rns_mul_limbs
         assert select.batch_mul_backend(threshold + 100, 8) != "rns"
-        assert select.powmod_backend(threshold + 100) == "limb"
 
     def test_kill_switch_keeps_explicit_rns_runnable(self, monkeypatch):
         monkeypatch.setenv(select.RNS_ENV, "0")
@@ -102,9 +101,6 @@ class TestMulCrossover:
     def test_zero_threshold_disables_backend(self):
         disabled = dataclasses.replace(select.active(), rns_mul_limbs=0)
         assert select.batch_mul_backend(10 ** 6, 8, disabled) != "rns"
-        no_powmod = dataclasses.replace(select.active(),
-                                        rns_powmod_limbs=0)
-        assert select.powmod_backend(10 ** 6, no_powmod) == "limb"
 
     @given(a=naturals_of_bits(4096), b=naturals_of_bits(4096))
     @settings(max_examples=diff_examples(), deadline=None)
@@ -113,48 +109,6 @@ class TestMulCrossover:
         rns = mul(an, bn, GMP_POLICY, backend="rns")
         assert rns == mul(an, bn, GMP_POLICY, backend="limb")
         assert from_nat(rns) == a * b
-
-
-class TestPowmodCrossover:
-    # Capped below the mul band: one 200-limb limb-Montgomery ladder
-    # alone would dominate the suite's runtime.
-    @pytest.mark.parametrize(
-        "limbs", _crossover_band(select.active().rns_powmod_limbs,
-                                 cap=64))
-    def test_backends_agree_at_boundary(self, limbs):
-        base = _operand(limbs, 4)
-        exponent = _operand(min(limbs, 2), 5)
-        modulus = _operand(limbs, 6)
-        bn, en, mn = to_nat(base), to_nat(exponent), to_nat(modulus)
-        rns = mpn.powmod(bn, en, mn, backend="rns")
-        assert rns == mpn.powmod(bn, en, mn, backend="limb") \
-            == mpn.powmod(bn, en, mn)
-        assert from_nat(rns) == pow(base, exponent, modulus)
-
-    def test_even_modulus_agrees(self):
-        base, exponent = _operand(8, 7), _operand(2, 8)
-        modulus = _operand(8, 9) & ~1
-        bn, en, mn = to_nat(base), to_nat(exponent), to_nat(modulus)
-        assert mpn.powmod(bn, en, mn, backend="rns") \
-            == mpn.powmod(bn, en, mn, backend="limb")
-        assert from_nat(mpn.powmod(bn, en, mn, backend="rns")) \
-            == pow(base, exponent, modulus)
-
-    def test_auto_resolution_flips_exactly_at_threshold(self, monkeypatch):
-        monkeypatch.setenv(select.RNS_ENV, "1")
-        threshold = select.active().rns_powmod_limbs
-        assert threshold > 0, "container tuning should enable rns"
-        assert select.powmod_backend(threshold - 1) == "limb"
-        assert select.powmod_backend(threshold) == "rns"
-
-    @given(base=naturals_of_bits(512), exponent=naturals_of_bits(64),
-           modulus=naturals_of_bits(512, 1))
-    @settings(max_examples=diff_examples(), deadline=None)
-    def test_hypothesis_powmod_three_way(self, base, exponent, modulus):
-        bn, en, mn = to_nat(base), to_nat(exponent), to_nat(modulus)
-        rns = mpn.powmod(bn, en, mn, backend="rns")
-        assert rns == mpn.powmod(bn, en, mn, backend="limb")
-        assert from_nat(rns) == pow(base, exponent, modulus)
 
 
 class TestBatchPaths:
@@ -180,7 +134,7 @@ class TestBatchPaths:
     def test_run_rns_batch_matches_per_item_plans(self):
         mul_params = [{"a": _operand(8, seed), "b": _operand(8, seed + 9)}
                       for seed in range(3)]
-        batch = run_rns_batch("mul", mul_params)
+        batch = run_rns_batch(mul_params)
         for params, payload in zip(mul_params, batch):
             plan = lower(OpSpec.for_mul(params["a"].bit_length(),
                                         params["b"].bit_length(),
@@ -188,13 +142,9 @@ class TestBatchPaths:
             assert payload == run(plan, params)
             assert payload["product"] == params["a"] * params["b"]
 
-    def test_run_rns_batch_powmod_matches_bigints(self):
-        triples = [{"base": _operand(8, seed), "exp": _operand(2, seed + 3),
-                    "mod": _operand(8, seed + 6)} for seed in range(3)]
-        batch = run_rns_batch("powmod", triples)
-        for params, payload in zip(triples, batch):
-            assert payload["value"] == pow(params["base"], params["exp"],
-                                           params["mod"])
+    def test_powmod_is_not_an_rns_operation(self):
+        with pytest.raises(PlanError):
+            lower(OpSpec("powmod", 3, 3, backend="rns"), use_cache=False)
 
 
 class TestPlanLayer:
@@ -211,36 +161,15 @@ class TestPlanLayer:
                                          {"a": a, "b": b})["product"]
         assert payload["product"] == a * b
 
-    def test_rns_powmod_plan_matches_bigint(self):
-        params = {"base": _operand(12, 13), "exp": _operand(2, 14),
-                  "mod": _operand(12, 15)}
-        plan = plan_for_job("powmod", params, backend="rns")
-        assert plan.backend == "rns"
-        assert run(plan, params)["value"] \
-            == pow(params["base"], params["exp"], params["mod"])
-
-    def test_powmod_auto_lowers_to_rns_above_crossover(self, monkeypatch):
-        monkeypatch.setenv(select.RNS_ENV, "1")
-        threshold = select.active().rns_powmod_limbs
-        params = {"base": _operand(threshold + 4, 16),
-                  "exp": _operand(2, 17),
-                  "mod": _operand(threshold + 4, 18)}
-        plan = plan_for_job("powmod", params)
-        assert plan.backend == "rns"
-        assert run(plan, params)["value"] \
-            == pow(params["base"], params["exp"], params["mod"])
-
     def test_memo_key_changes_with_rns_thresholds(self):
-        """Retuning the rns crossovers must invalidate cached plans:
-        the fingerprint inside the memo key covers them."""
+        """Retuning the rns crossover must invalidate cached plans:
+        the fingerprint inside the memo key covers it."""
         spec = OpSpec.for_mul(64 * 32, 64 * 32)
         active = select.active()
-        baseline = lower(spec, active, use_cache=False)
-        for field in ("rns_mul_limbs", "rns_powmod_limbs"):
-            moved = dataclasses.replace(
-                active, **{field: getattr(active, field) + 3})
-            assert lower(spec, moved, use_cache=False).memo_key \
-                != baseline.memo_key, field
+        moved = dataclasses.replace(active,
+                                    rns_mul_limbs=active.rns_mul_limbs + 3)
+        assert lower(spec, moved, use_cache=False).memo_key \
+            != lower(spec, active, use_cache=False).memo_key
 
     def test_memo_key_separates_backends(self):
         spec_args = (64 * 32, 64 * 32)

@@ -3,8 +3,9 @@
 The packed kernels are *re-representations* of the limb kernels, so the
 tests here are about the representation itself: pack/unpack round
 trips at awkward lengths, carry chains that cross block boundaries,
-normalization, and the error vocabulary.  Cross-backend equivalence at
-dispatcher level lives in ``tests/differential/test_packed_paths.py``.
+normalization, and the error vocabulary — plus the block Montgomery
+pieces of the powmod kernel.  Cross-backend equivalence at dispatcher
+level lives in ``tests/differential/test_packed_paths.py``.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from hypothesis import strategies as st
 
 from repro.mpn import nat
 from repro.mpn.nat import LIMB_BITS, MpnError
-from repro.mpn.packed import (KARATSUBA_BLOCKS, PACK_LIMBS, add_packed,
-                              divmod_packed, mul_packed, pack_blocks,
+from repro.mpn.packed import (KARATSUBA_BLOCKS, PACK_LIMBS, _bmont_mul,
+                              _inverse_block, add_packed, divmod_packed,
+                              mul_packed, pack_blocks, powmod_packed,
                               shl_packed, shr_packed, sqr_packed,
                               sub_packed, unpack_blocks)
 
@@ -218,3 +220,63 @@ class TestArithmeticKernels:
         assert sub_packed(to_nat(9), []) == to_nat(9)
         assert shl_packed([], 40) == []
         assert shr_packed([], 40) == []
+
+
+class TestPowmodKernel:
+    @given(base=st.integers(min_value=0, max_value=(1 << 512) - 1),
+           exponent=st.integers(min_value=0, max_value=(1 << 64) - 1),
+           modulus=st.integers(min_value=1, max_value=(1 << 512) - 1),
+           k=st.sampled_from(PACK_WIDTHS))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_bigints(self, base, exponent, modulus, k):
+        got = powmod_packed(to_nat(base), to_nat(exponent),
+                            to_nat(modulus), k)
+        assert from_nat(got) == pow(base, exponent, modulus)
+
+    @pytest.mark.parametrize("modulus", (1, 2, 6, 1 << 32, (1 << 61) - 2))
+    def test_degenerate_and_even_moduli(self, modulus):
+        base, exponent = 0xABCDEF0123456789, 0x1F
+        got = powmod_packed(to_nat(base), to_nat(exponent),
+                            to_nat(modulus))
+        assert from_nat(got) == pow(base, exponent, modulus)
+
+    def test_zero_exponent_and_zero_base(self):
+        modulus = to_nat(97)
+        assert from_nat(powmod_packed(to_nat(5), to_nat(0), modulus)) == 1
+        assert from_nat(powmod_packed(to_nat(0), to_nat(9), modulus)) == 0
+
+    def test_zero_modulus_raises(self):
+        with pytest.raises(MpnError):
+            powmod_packed(to_nat(3), to_nat(4), to_nat(0))
+
+    @given(block=st.integers(min_value=0,
+                             max_value=(1 << (LIMB_BITS * PACK_LIMBS)) - 1))
+    @settings(max_examples=diff_examples(), deadline=None)
+    def test_negated_block_inverse(self, block):
+        """ninv * m0 == -1 (mod 2^256): the quotient block that zeroes
+        the accumulator's low block in every Montgomery step."""
+        bits = LIMB_BITS * PACK_LIMBS
+        m0 = block | 1
+        neg_inverse = (-_inverse_block(m0, bits)) % (1 << bits)
+        assert neg_inverse * m0 % (1 << bits) == (1 << bits) - 1
+
+    @pytest.mark.parametrize("k", PACK_WIDTHS)
+    def test_block_montgomery_product(self, k):
+        """a * b * R^-1 mod N, padded to the modulus's block count."""
+        bits = LIMB_BITS * k
+        mask = (1 << bits) - 1
+        modulus = (1 << (3 * bits - 5)) + 0x1234567 * 2 + 1
+        blocks = pack_blocks(to_nat(modulus), k)
+        n = len(blocks)
+        neg_inverse = (-_inverse_block(blocks[0], bits)) & mask
+        radix_inverse = pow(1 << (bits * n), -1, modulus)
+        for a, b in ((0, 5), (1, 1), (modulus - 1, modulus - 1),
+                     (modulus // 3, modulus // 7)):
+            padded = [pack_blocks(to_nat(value), k) for value in (a, b)]
+            padded = [x + [0] * (n - len(x)) for x in padded]
+            got = _bmont_mul(padded[0], padded[1], blocks, neg_inverse,
+                             bits, mask)
+            assert len(got) == n
+            value = sum(block << (bits * i) for i, block in enumerate(got))
+            assert value == a * b * radix_inverse % modulus
+

@@ -4,9 +4,8 @@ The rns module's invariants, independent of any dispatcher: channel
 sets are coprime 61-bit primes with honest capacity accounting;
 encode/decode is an exact round trip up to (and an error past) that
 capacity; the per-channel Montgomery reducer equals plain modular
-multiplication; the mul/sqr/powmod kernels match Python's bigints on
-arbitrary widths, including the degenerate moduli and the
-shared-channel-prime fallback.
+multiplication; the mul/sqr kernels match Python's bigints on
+arbitrary widths.
 """
 
 from __future__ import annotations
@@ -18,11 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mpn import nat
-from repro.mpn.nat import MpnError
 from repro.mpn.rns import (MODULUS_BITS, ChannelMontgomery, RnsContext,
                            RnsError, RnsOverflowError, channel_moduli,
-                           context_for_bits, mul_rns, powmod_rns,
-                           sqr_rns)
+                           context_for_bits, mul_rns, sqr_rns)
 
 from tests.conftest import from_nat, to_nat
 
@@ -135,35 +132,3 @@ class TestMulKernel:
         with pytest.raises(RnsOverflowError):
             mul_rns(to_nat(wide), to_nat(wide), context=context)
 
-
-class TestPowmodKernel:
-    @given(base=st.integers(min_value=0, max_value=(1 << 512) - 1),
-           exponent=st.integers(min_value=0, max_value=(1 << 64) - 1),
-           modulus=st.integers(min_value=1, max_value=(1 << 512) - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_matches_bigints(self, base, exponent, modulus):
-        got = powmod_rns(to_nat(base), to_nat(exponent), to_nat(modulus))
-        assert from_nat(got) == pow(base, exponent, modulus)
-
-    @pytest.mark.parametrize("modulus", (1, 2, 6, 1 << 32, (1 << 61) - 2))
-    def test_degenerate_and_even_moduli(self, modulus):
-        base, exponent = 0xABCDEF0123456789, 0x1F
-        got = powmod_rns(to_nat(base), to_nat(exponent), to_nat(modulus))
-        assert from_nat(got) == pow(base, exponent, modulus)
-
-    def test_zero_exponent_and_zero_base(self):
-        modulus = to_nat(97)
-        assert from_nat(powmod_rns(to_nat(5), to_nat(0), modulus)) == 1
-        assert from_nat(powmod_rns(to_nat(0), to_nat(9), modulus)) == 0
-
-    def test_zero_modulus_raises(self):
-        with pytest.raises(MpnError):
-            powmod_rns(to_nat(3), to_nat(4), to_nat(0))
-
-    def test_shared_channel_prime_falls_back(self):
-        """A modulus divisible by a channel prime has no RNS Montgomery
-        domain; the kernel must fall back to the limb path, invisibly."""
-        modulus = channel_moduli(1)[0] * 3
-        base, exponent = 0x123456789ABCDEF, 0x11
-        got = powmod_rns(to_nat(base), to_nat(exponent), to_nat(modulus))
-        assert from_nat(got) == pow(base, exponent, modulus)

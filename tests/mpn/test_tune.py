@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,9 @@ from repro.mpn.tune import (THRESHOLDS_VERSION, Thresholds,
                             tuned_policy)
 
 from tests.conftest import from_nat
+
+#: The checkout this suite belongs to (subprocesses run from its root).
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 class TestRandomOperand:
@@ -167,22 +171,25 @@ class TestTuneCli:
     @pytest.mark.slow
     def test_subprocess_tune_then_load(self, tmp_path):
         target = tmp_path / "host-thresholds.json"
+        dataset = tmp_path / "dataset.jsonl"
         env = dict(os.environ,
-                   PYTHONPATH="src",
-                   REPRO_THRESHOLDS=str(target))
+                   PYTHONPATH=str(REPO_ROOT / "src"),
+                   REPRO_THRESHOLDS=str(target),
+                   REPRO_COST_DATASET=str(dataset))
         completed = subprocess.run(
             [sys.executable, "-m", "repro", "tune",
              "--max-limbs", "64", "--repeats", "1"],
-            capture_output=True, text=True, env=env, cwd="/root/repo",
+            capture_output=True, text=True, env=env, cwd=REPO_ROOT,
             timeout=600)
         assert completed.returncode == 0, completed.stderr
         assert target.exists()
+        assert dataset.exists()
         loader = subprocess.run(
             [sys.executable, "-c",
              "from repro.mpn.tune import active_thresholds;"
              "t = active_thresholds(); t.validate();"
              "print(t.karatsuba_limbs)"],
-            capture_output=True, text=True, env=env, cwd="/root/repo",
+            capture_output=True, text=True, env=env, cwd=REPO_ROOT,
             timeout=120)
         assert loader.returncode == 0, loader.stderr
         assert int(loader.stdout.strip()) >= 2

@@ -30,16 +30,6 @@ def _mul_batch():
             for seed in range(BATCH)]
 
 
-def _powmod_batch():
-    triples = []
-    for seed in range(BATCH):
-        modulus = _random_operand(10, seed + 300)
-        modulus[0] |= 1
-        triples.append((_random_operand(10, seed),
-                        _random_operand(2, seed + 200), modulus))
-    return triples
-
-
 class _TaggedCrash:
     """Picklable crash-in-worker wrapper around the real pair worker:
     dies hard in a worker process, computes fine in the parent."""
@@ -72,18 +62,6 @@ class TestIdenticalAtEveryWorkerCount:
             with ParallelExecutor(workers) as executor:
                 assert rns.mul_rns(a, b, executor=executor) == serial, \
                     "diverged at %d workers" % workers
-
-    def test_powmod_batch(self):
-        triples = _powmod_batch()
-        serial = rns.powmod_batch_rns(triples)
-        expected = [pow(nat.nat_to_int(base), nat.nat_to_int(exponent),
-                        nat.nat_to_int(modulus))
-                    for base, exponent, modulus in triples]
-        assert [nat.nat_to_int(value) for value in serial] == expected
-        for workers in (0, 2, 4):
-            with ParallelExecutor(workers) as executor:
-                assert rns.powmod_batch_rns(triples, executor=executor) \
-                    == serial, "diverged at %d workers" % workers
 
 
 class TestBrokenPoolFallback:

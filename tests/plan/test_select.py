@@ -70,7 +70,6 @@ class TestFingerprint:
                       thresholds.packed_mul_limbs,
                       thresholds.packed_div_limbs,
                       thresholds.rns_mul_limbs,
-                      thresholds.rns_powmod_limbs,
                       thresholds.specialize_limbs)
 
     def test_thresholds_method_delegates(self):
