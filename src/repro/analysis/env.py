@@ -128,6 +128,11 @@ def string(var: EnvVar, default: str = "") -> str:
     return var.raw() or default
 
 
+def home() -> str:
+    """``$HOME`` ('' when unset), where ``~`` in path defaults resolves."""
+    return os.environ.get("HOME", "")
+
+
 # -- the declarations ---------------------------------------------------------
 # Keep scopes grouped; docs/ENV.md renders in this order.
 
@@ -163,7 +168,10 @@ CACHE_DIR = declare(
 THRESHOLDS = declare(
     "REPRO_THRESHOLDS", "<cache root>/thresholds.json", "path",
     "Explicit path of the tuned-thresholds file read by the plan "
-    "selector and written by ``repro tune``.",
+    "selector and written by ``repro tune``. Read once per process "
+    "and held in memory; a retarget of this path (or of "
+    "REPRO_CACHE_DIR/HOME) or a save in the same process applies at "
+    "once, a retune by another process on restart.",
     "mpn")
 
 PACKED = declare(

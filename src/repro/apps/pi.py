@@ -28,7 +28,7 @@ DIGITS_PER_TERM = 14.181647462725477
 
 _A = 13591409
 _B = 545140134
-_C3_OVER_24 = 10939058860032000  # 640320^3 / 24
+C3_OVER_24 = 10939058860032000  # 640320^3 / 24
 
 
 @dataclass
@@ -47,7 +47,7 @@ def _binary_split(a: int, b: int) -> Tuple[MPZ, MPZ, MPZ]:
         p = r * (_A + _B * b)
         if b & 1:
             p = -p
-        q = MPZ(b) * MPZ(b) * MPZ(b) * _C3_OVER_24
+        q = MPZ(b) * MPZ(b) * MPZ(b) * C3_OVER_24
         return p, q, r
     mid = (a + b) // 2
     p_left, q_left, r_left = _binary_split(a, mid)
@@ -57,13 +57,28 @@ def _binary_split(a: int, b: int) -> Tuple[MPZ, MPZ, MPZ]:
             r_left * r_right)
 
 
-def compute_pi(digits: int, guard_digits: int = 12) -> PiResult:
+#: Extra decimal digits computed beyond the request and cut off.
+GUARD_DIGITS = 12
+
+
+def series_size(digits: int,
+                guard_digits: int = GUARD_DIGITS) -> Tuple[int, int]:
+    """(series terms, working precision in bits) for ``digits`` digits.
+
+    The plan lowering prices ``pi_digits`` jobs from the same numbers.
+    """
+    total_digits = digits + guard_digits
+    terms = max(2, int(total_digits / DIGITS_PER_TERM) + 2)
+    precision = int(total_digits * 3.3219280948873626) + 64
+    return terms, precision
+
+
+def compute_pi(digits: int, guard_digits: int = GUARD_DIGITS) -> PiResult:
     """Compute pi to the requested number of decimal digits."""
     if digits < 1:
         raise ValueError("need at least one digit of pi")
     total_digits = digits + guard_digits
-    terms = max(2, int(total_digits / DIGITS_PER_TERM) + 2)
-    precision = int(total_digits * 3.3219280948873626) + 64
+    terms, precision = series_size(digits, guard_digits)
 
     p, q, _ = _binary_split(0, terms)
     # pi = 426880 * sqrt(10005) * Q / (13591409*Q + P)

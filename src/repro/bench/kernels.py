@@ -24,6 +24,11 @@ tuned plan happens to select — so a mistuned crossover can never hide
 an incorrect backend, and a benchmark run doubles as a differential
 test.  A cProfile pass over the largest measured multiply records
 where the interpreter time actually goes.
+
+A dispatch probe times one small multiply through the public,
+profiled ``repro.mpn.mul`` next to the backend it resolves to, pinned
+at the kernel dispatcher: the ratio is the per-call price of the
+profiling marker and ``auto`` selection.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro import mpn as public_mpn
 from repro.mpn import nat
 from repro.mpn import powmod as mpn_powmod
 from repro.mpn.div import divmod_nat
@@ -44,6 +50,7 @@ from repro.mpn.mul import mul, sqr
 from repro.mpn.nat import Nat
 from repro.mpn.packed import PACK_LIMBS
 from repro.mpn.tune import _random_operand, tuned_policy
+from repro.plan import select
 
 #: Bump when the JSON layout changes meaning.
 #: v2: per-backend ``ns``/``speedup`` maps replaced the limb/packed
@@ -54,7 +61,9 @@ from repro.mpn.tune import _random_operand, tuned_policy
 #: v4: ``predicted_ns``/``predicted_err`` columns compare each point
 #: against the learned cost model (:mod:`repro.cost`) when a fitted
 #: model is live; absent otherwise.
-BENCH_SCHEMA_VERSION = 4
+#: v5: the ``dispatch`` probe (public ``repro.mpn.mul`` vs the backend
+#: it resolves to).
+BENCH_SCHEMA_VERSION = 5
 
 #: Figure-11-style bit-width ladder (the paper sweeps multiply sizes in
 #: this range; 64k bits is the headline point).
@@ -107,14 +116,30 @@ CHECK_SPECIALIZED_MIN_SPEEDUP = 1.15
 #: speedup claim.
 CHECK_RNS_MUL_MAX_RATIO = 48.0
 
+#: Operand width of the dispatch probe: a small multiply, the size
+#: class zkcm issues ~20k times per item, where per-call overhead shows.
+DISPATCH_BITS = 1024
 
-def _best_ns(fn: Callable[[], object], repeats: int) -> int:
-    """Best-of-``repeats`` wall time of ``fn()`` in nanoseconds."""
+#: Calls per timed sample of the dispatch probe (one call is ~20 us,
+#: too short to time alone).
+DISPATCH_LOOPS = 200
+
+#: Maximum public/direct ratio --check tolerates for the dispatch
+#: probe.  Measured 1.3-1.4x on a 2-CPU Xeon (CPython 3.11), where a
+#: filesystem check per call measured 2.1-4x.
+CHECK_DISPATCH_MAX_RATIO = 2.0
+
+
+def _best_ns(fn: Callable[[], object], repeats: int,
+             loops: int = 1) -> int:
+    """Best-of-``repeats`` wall time of one ``fn()`` in nanoseconds,
+    each sample averaged over ``loops`` back-to-back calls."""
     best = None
     for _ in range(max(1, repeats)):
         start = time.perf_counter_ns()
-        fn()
-        elapsed = time.perf_counter_ns() - start
+        for _ in range(loops):
+            fn()
+        elapsed = (time.perf_counter_ns() - start) // loops
         if best is None or elapsed < best:
             best = elapsed
     return best
@@ -262,6 +287,39 @@ def _predicted_columns(op: str, bits: int, timings: Dict[str, int]
     return predicted_ns, predicted_err
 
 
+def dispatch_probe(repeats: int, seed: int) -> Dict:
+    """Public ``repro.mpn.mul`` next to the backend it resolves to.
+
+    The direct side pins the resolved backend at the kernel dispatcher
+    (:func:`repro.mpn.mul.mul`), the closest call the dispatch-
+    discipline lint allows above the kernels.
+    """
+    a, b = _operands("mul", DISPATCH_BITS, seed)
+    backend = select.mul_backend(min(len(a), len(b)))
+    policy = public_mpn.get_policy()
+    truth = _oracle("mul", a, b, seed)
+
+    def public() -> Nat:
+        return public_mpn.mul(a, b)
+
+    def direct() -> Nat:
+        return mul(a, b, policy, backend=backend)
+
+    for thunk in (public, direct):
+        if _as_ints("mul", thunk()) != truth:
+            raise AssertionError("bench-kernels: dispatch probe "
+                                 "disagrees with the bigint oracle")
+    # Interleaved samples, so a drift in host speed hits both sides.
+    samples = [(_best_ns(public, 1, DISPATCH_LOOPS),
+                _best_ns(direct, 1, DISPATCH_LOOPS))
+               for _ in range(max(1, repeats))]
+    public_ns = min(sample[0] for sample in samples)
+    direct_ns = min(sample[1] for sample in samples)
+    return {"op": "mul", "bits": DISPATCH_BITS, "backend": backend,
+            "public_ns": public_ns, "direct_ns": direct_ns,
+            "ratio": round(public_ns / max(1, direct_ns), 3)}
+
+
 def _ladder(op: str, quick: bool):
     if op == "powmod":
         return POWMOD_QUICK_LADDER if quick else POWMOD_FULL_LADDER
@@ -295,6 +353,7 @@ def bench_kernels(quick: bool = False, repeats: int = 5,
                 entry["predicted_ns"] = predicted_ns
                 entry["predicted_err"] = predicted_err
             entries.append(entry)
+    dispatch = dispatch_probe(repeats, seed)
 
     hotspots: Dict[str, List[Dict]] = {}
     if profile:
@@ -321,6 +380,7 @@ def bench_kernels(quick: bool = False, repeats: int = 5,
         "cpus": os.cpu_count() or 1,
         "policy": policy.name,
         "entries": entries,
+        "dispatch": dispatch,
         "hotspots": hotspots,
     }
 
@@ -336,7 +396,9 @@ def check_report(report: Dict) -> List[str]:
       are recorded, not gated;
     * serial rns mul/sqr must stay within
       :data:`CHECK_RNS_MUL_MAX_RATIO` of the packed baseline (a
-      broken-kernel canary — the rns mul wins on batches, not serially).
+      broken-kernel canary — the rns mul wins on batches, not serially);
+    * the public ``repro.mpn.mul`` must stay within
+      :data:`CHECK_DISPATCH_MAX_RATIO` of the backend it resolves to.
 
     Returns human-readable failures (empty = pass), tolerances chosen
     so CI noise survives but a real regression does not.
@@ -372,6 +434,13 @@ def check_report(report: Dict) -> List[str]:
                     "packed (> %.1fx canary bound)"
                     % (op, entry["bits"], ratio,
                        CHECK_RNS_MUL_MAX_RATIO))
+    dispatch = report.get("dispatch")
+    if dispatch and dispatch["ratio"] > CHECK_DISPATCH_MAX_RATIO:
+        failures.append(
+            "dispatch: public mpn.mul at %d bits is %.2fx the %s "
+            "backend it resolves to (> %.1fx bound)"
+            % (dispatch["bits"], dispatch["ratio"], dispatch["backend"],
+               CHECK_DISPATCH_MAX_RATIO))
     return failures
 
 
@@ -391,6 +460,13 @@ def render_report(report: Dict) -> str:
                                 entry["speedup"][backend]))
         lines.append("  %-6s %8d  %s" % (entry["op"], entry["bits"],
                                          "  ".join(cells)))
+    dispatch = report.get("dispatch")
+    if dispatch:
+        lines.append("  dispatch: mul %d bits public=%.1f us  %s=%.1f us"
+                     "  (%.2fx)"
+                     % (dispatch["bits"], dispatch["public_ns"] / 1e3,
+                        dispatch["backend"], dispatch["direct_ns"] / 1e3,
+                        dispatch["ratio"]))
     for label, rows in report.get("hotspots", {}).items():
         lines.append("  hotspots: %s" % label)
         for row in rows[:5]:

@@ -927,10 +927,12 @@ def _cmd_bench_kernels(args: argparse.Namespace) -> int:
         print("check: every backend matches the bigint oracle at every "
               "point; packed >= %.1fx limb, packed powmod >= %.1fx "
               "limb, specialized mul >= %.2fx limb, serial rns mul "
-              "within the packed canary bound at the largest sizes"
+              "within the packed canary bound at the largest sizes; "
+              "public mpn.mul within %.1fx of its resolved backend"
               % (_ck.CHECK_MIN_SPEEDUP,
                  _ck.CHECK_PACKED_POWMOD_MIN_SPEEDUP,
-                 _ck.CHECK_SPECIALIZED_MIN_SPEEDUP),
+                 _ck.CHECK_SPECIALIZED_MIN_SPEEDUP,
+                 _ck.CHECK_DISPATCH_MAX_RATIO),
               file=sys.stderr)
     return 0
 

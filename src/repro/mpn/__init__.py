@@ -28,6 +28,7 @@ from repro.mpn.mul import (GMP_POLICY, MPAPCA_POLICY, PYTHON_POLICY,
 from repro.mpn.nat import (LIMB_BASE, LIMB_BITS, LIMB_MASK, MpnError, Nat,
                            bit_length, cmp, get_bit, is_zero, nat_from_int,
                            nat_to_int, normalize)
+from repro.plan import select as _select
 from repro.profiling import kernel
 
 #: Policy used by the profiled wrappers; mutable so the runtime layer can
@@ -61,7 +62,6 @@ def _use_packed_linear(a: Nat, b: Nat = ()) -> bool:
     Sub stays on the limb path (measured at parity): the packed borrow
     chain buys nothing once the pack round trip is paid.
     """
-    from repro.plan import select as _select
     return (max(len(a), len(b)) >= _packed.LINEAR_PACK_MIN_LIMBS
             and _select.mul_backend(_packed.LINEAR_PACK_MIN_LIMBS)
             == "packed")
@@ -69,7 +69,7 @@ def _use_packed_linear(a: Nat, b: Nat = ()) -> bool:
 
 def add(a: Nat, b: Nat) -> Nat:
     """Profiled addition of naturals."""
-    with kernel("add", bit_length(a), bit_length(b)):
+    with kernel("add", a, b):
         if _use_packed_linear(a, b):
             return _packed.add_packed(a, b)
         return _nat.add(a, b)
@@ -77,13 +77,13 @@ def add(a: Nat, b: Nat) -> Nat:
 
 def sub(a: Nat, b: Nat) -> Nat:
     """Profiled subtraction (requires a >= b)."""
-    with kernel("sub", bit_length(a), bit_length(b)):
+    with kernel("sub", a, b):
         return _nat.sub(a, b)
 
 
 def shl(a: Nat, count: int) -> Nat:
     """Profiled left shift."""
-    with kernel("shift", bit_length(a), count):
+    with kernel("shift", a, count):
         if _use_packed_linear(a):
             return _packed.shl_packed(a, count)
         return _nat.shl(a, count)
@@ -91,7 +91,7 @@ def shl(a: Nat, count: int) -> Nat:
 
 def shr(a: Nat, count: int) -> Nat:
     """Profiled right shift."""
-    with kernel("shift", bit_length(a), count):
+    with kernel("shift", a, count):
         if _use_packed_linear(a):
             return _packed.shr_packed(a, count)
         return _nat.shr(a, count)
@@ -99,57 +99,57 @@ def shr(a: Nat, count: int) -> Nat:
 
 def compare(a: Nat, b: Nat) -> int:
     """Profiled three-way comparison."""
-    with kernel("cmp", bit_length(a), bit_length(b)):
+    with kernel("cmp", a, b):
         return _nat.cmp(a, b)
 
 
 def mul(a: Nat, b: Nat, policy: Optional[MulPolicy] = None,
         backend: str = "auto") -> Nat:
     """Profiled multiplication under the active (or given) policy."""
-    with kernel("mul", bit_length(a), bit_length(b)):
+    with kernel("mul", a, b):
         return _mul.mul(a, b, policy or _ACTIVE_POLICY, backend)
 
 
 def sqr(a: Nat, policy: Optional[MulPolicy] = None,
         backend: str = "auto") -> Nat:
     """Profiled squaring."""
-    with kernel("mul", bit_length(a), bit_length(a)):
+    with kernel("mul", a, a):
         return _mul.sqr(a, policy or _ACTIVE_POLICY, backend)
 
 
 def divmod_nat(a: Nat, b: Nat, backend: str = "auto") -> Tuple[Nat, Nat]:
     """Profiled (quotient, remainder)."""
-    with kernel("div", bit_length(a), bit_length(b)):
+    with kernel("div", a, b):
         return _div.divmod_nat(a, b, _unprofiled_mul, backend)
 
 
 def mod(a: Nat, b: Nat, backend: str = "auto") -> Nat:
     """Profiled remainder."""
-    with kernel("mod", bit_length(a), bit_length(b)):
+    with kernel("mod", a, b):
         return _div.divmod_nat(a, b, _unprofiled_mul, backend)[1]
 
 
 def divexact(a: Nat, b: Nat) -> Nat:
     """Profiled exact division."""
-    with kernel("div", bit_length(a), bit_length(b)):
+    with kernel("div", a, b):
         return _div.divexact(a, b, _unprofiled_mul)
 
 
 def isqrt(a: Nat) -> Nat:
     """Profiled floor square root."""
-    with kernel("sqrt", bit_length(a)):
+    with kernel("sqrt", a):
         return _sqrt.isqrt(a, _unprofiled_mul)
 
 
 def sqrtrem(a: Nat) -> Tuple[Nat, Nat]:
     """Profiled floor square root with remainder."""
-    with kernel("sqrt", bit_length(a)):
+    with kernel("sqrt", a):
         return _sqrt.sqrtrem(a, _unprofiled_mul)
 
 
 def iroot(a: Nat, k: int) -> Nat:
     """Profiled floor k-th root."""
-    with kernel("sqrt", bit_length(a), k):
+    with kernel("sqrt", a, k):
         return _sqrt.iroot(a, k, _unprofiled_mul)
 
 
@@ -164,9 +164,8 @@ def powmod(base: Nat, exponent: Nat, modulus: Nat,
     explicitly.  Both produce the unique canonical residue,
     bit-identically.
     """
-    with kernel("powmod", bit_length(modulus), bit_length(exponent)):
+    with kernel("powmod", modulus, exponent):
         if backend == "auto":
-            from repro.plan import select as _select
             backend = _select.powmod_backend()
         if backend == "packed":
             return _packed.powmod_packed(base, exponent, modulus)
@@ -178,13 +177,13 @@ def powmod(base: Nat, exponent: Nat, modulus: Nat,
 
 def gcd(a: Nat, b: Nat) -> Nat:
     """Profiled greatest common divisor."""
-    with kernel("div", bit_length(a), bit_length(b)):
+    with kernel("div", a, b):
         return _gcd.gcd(a, b)
 
 
 def invmod(a: Nat, modulus: Nat) -> Nat:
     """Profiled modular inverse."""
-    with kernel("div", bit_length(a), bit_length(modulus)):
+    with kernel("div", a, modulus):
         return _gcd.invmod(a, modulus, _unprofiled_mul)
 
 

@@ -32,6 +32,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 
+from repro.analysis import env as _env
 from repro.mpn import nat
 from repro.mpn.barrett import BarrettContext
 from repro.mpn.burnikel_ziegler import divmod_bz
@@ -234,7 +235,6 @@ class Thresholds:
 
 def thresholds_path() -> Path:
     """Where thresholds persist: ``$REPRO_THRESHOLDS`` or the cache root."""
-    from repro.analysis import env as _env
     override = _env.THRESHOLDS.raw()
     if override:
         return Path(override).expanduser()
@@ -244,7 +244,9 @@ def thresholds_path() -> Path:
 
 def save_thresholds(thresholds: Thresholds,
                     path: Optional[Path] = None) -> Path:
-    """Persist thresholds as JSON (atomic enough for a small file)."""
+    """Persist thresholds as JSON (atomic enough for a small file);
+    clears the :func:`active_thresholds` memo."""
+    global _ACTIVE_CACHE
     thresholds.validate()
     target = Path(path) if path is not None else thresholds_path()
     target.parent.mkdir(parents=True, exist_ok=True)
@@ -253,6 +255,7 @@ def save_thresholds(thresholds: Thresholds,
     temp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
     os.replace(temp, target)
+    _ACTIVE_CACHE = (None, None)
     return target
 
 
@@ -292,30 +295,27 @@ def default_thresholds() -> Thresholds:
     )
 
 
-#: (file stamp, Thresholds) memo for :func:`active_thresholds`.
+#: (location key, Thresholds) memo for :func:`active_thresholds`.
 _ACTIVE_CACHE: Tuple[Optional[Tuple], Optional[Thresholds]] = (None, None)
 
 
 def active_thresholds() -> Thresholds:
     """Persisted thresholds when available, checked-in defaults else.
 
-    Memoized on the persisted file's (path, mtime, size) stamp: the
-    mpn dispatchers consult the active thresholds per operation for
-    backend selection, so an unconditional disk read here would
-    dominate small kernels.  A retune (new mtime), file removal, or
-    ``$REPRO_THRESHOLDS`` retarget changes the stamp and refreshes.
+    Held in memory, since every ``auto`` mpn call asks: memoized on
+    the environment strings that locate the file, so retargeting
+    ``$REPRO_THRESHOLDS``/``$REPRO_CACHE_DIR``/``$HOME`` resolves
+    afresh.  :func:`save_thresholds` clears the memo; a retune by
+    another process applies on restart.  Backends are bit-identical
+    and plan memo keys carry the snapshot that selected the plan, so
+    an older snapshot is never wrong.
     """
     global _ACTIVE_CACHE
-    target = thresholds_path()
-    try:
-        stat = target.stat()
-        stamp = (str(target), stat.st_mtime_ns, stat.st_size)
-    except OSError:
-        stamp = (str(target), -1, -1)
-    if _ACTIVE_CACHE[0] == stamp and _ACTIVE_CACHE[1] is not None:
+    key = (_env.THRESHOLDS.raw(), _env.CACHE_DIR.raw(), _env.home())
+    if _ACTIVE_CACHE[0] == key:
         return _ACTIVE_CACHE[1]
-    thresholds = load_thresholds(target) or default_thresholds()
-    _ACTIVE_CACHE = (stamp, thresholds)
+    thresholds = load_thresholds() or default_thresholds()
+    _ACTIVE_CACHE = (key, thresholds)
     return thresholds
 
 

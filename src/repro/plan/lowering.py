@@ -37,18 +37,17 @@ from repro.plan.spec import OpSpec, PlanError
 #: fingerprint grew the specialize crossover.
 #: v5: powmod resolves to packed (block Montgomery) instead of rns; the
 #: fingerprint lost the rns powmod crossover.
-PLAN_SCHEMA_VERSION = 5
+#: v6: pi_digits lowers to the Chudnovsky binary splitting the executor
+#: runs (it was priced as a Machin-like series).
+PLAN_SCHEMA_VERSION = 6
 
 #: Host-side cost of answering a pure model query (cycles at device
 #: frequency); the query itself never touches the accelerator.
 MODEL_QUERY_CYCLES = 100.0
 
-#: Machin-like series sizing for pi_digits (moved verbatim from the
-#: serve layer's former private estimate): bits of working precision
-#: per decimal digit, and one long division per ~4 series terms.
-PI_BITS_PER_DIGIT = 3.33
-PI_GUARD_BITS = 64
-PI_BITS_PER_TERM = 4
+#: Multiplications per binary-splitting merge in ``apps.pi``: P, Q
+#: and R of the merged range take four products of the halves.
+PI_MULS_PER_MERGE = 4
 
 
 @dataclass(frozen=True)
@@ -298,6 +297,29 @@ def _packed_kernel_steps(min_limbs: int) -> List[PlanStep]:
             for algorithm, blocks in select.packed_chain(min_limbs)]
 
 
+def _binary_split_cycles(terms: int) -> Tuple[float, int, int]:
+    """(cycles, merge levels, top operand bits) of the Chudnovsky tree.
+
+    Each term's P/Q/R factors are at most as wide as the last term's Q
+    factor, ``terms**3 * 640320**3 / 24``; a merge of two ranges of
+    ``span`` terms multiplies operands ``span`` times that wide.
+    """
+    from repro.apps.pi import C3_OVER_24
+    from repro.runtime import mpapca
+    term_bits = (terms ** 3 * C3_OVER_24).bit_length()
+    cycles = 0.0
+    levels = 0
+    span = 1
+    while span < terms:
+        merges = -(-terms // (2 * span))
+        width = span * term_bits
+        cycles += merges * PI_MULS_PER_MERGE * mpapca.mul_cycles(width,
+                                                                 width)
+        levels += 1
+        span *= 2
+    return cycles, levels, (span // 2) * term_bits
+
+
 def _lower_uncached(spec: OpSpec, thresholds, tuning: Tuple[int, ...],
                     policy_name: str) -> Plan:
     from repro.mpn.nat import LIMB_BITS
@@ -414,18 +436,24 @@ def _lower_uncached(spec: OpSpec, thresholds, tuning: Tuple[int, ...],
         steps = [PlanStep("host", "host-compare")]
         cost = float(mpapca.DISPATCH_CYCLES)
     elif op == "pi_digits":
-        digits = int(spec.detail_value("digits", 0))
-        bits = int(digits * PI_BITS_PER_DIGIT) + PI_GUARD_BITS
-        terms = max(1, bits // PI_BITS_PER_TERM)
-        algorithm = "machin-like"
+        from repro.apps.pi import series_size
+        terms, bits = series_size(int(spec.detail_value("digits", 0)))
+        split_cycles, levels, top_bits = _binary_split_cycles(terms)
+        algorithm = "chudnovsky"
         steps = [
-            PlanStep("host", "machin-like",
+            PlanStep("host", "chudnovsky",
                      "%d series terms at %d bits" % (terms, bits)),
-            PlanStep("kernel",
-                     select.div_algorithm(bits),
-                     "one long division per term"),
+            PlanStep("kernel", "binary-splitting",
+                     "%d merge levels, %d muls per merge, operands "
+                     "<= %d bits"
+                     % (levels, PI_MULS_PER_MERGE, top_bits)),
+            PlanStep("kernel", "newton-sqrt", "sqrt(10005), one mul"),
+            PlanStep("kernel", select.div_algorithm(bits),
+                     "one final division"),
         ]
-        cost = terms * mpapca.div_cycles(bits, bits)
+        cost = (split_cycles + mpapca.sqrt_cycles(2 * bits)
+                + mpapca.mul_cycles(bits, bits)
+                + mpapca.div_cycles(2 * bits, bits))
     elif op == "model_cycles":
         algorithm = "model-lookup"
         steps = [PlanStep("host", "model-lookup",

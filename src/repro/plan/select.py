@@ -91,18 +91,6 @@ def mul_chain(min_limbs: int, policy) -> List[Tuple[str, int]]:
             limbs = min(limbs - 1, max(1, policy.ssa_limbs - 1))
 
 
-def _packed_enabled() -> bool:
-    return _env.enabled(_env.PACKED)
-
-
-def _rns_enabled() -> bool:
-    return _env.enabled(_env.RNS)
-
-
-def _codegen_enabled() -> bool:
-    return _env.enabled(_env.CODEGEN)
-
-
 def specialize(op: str, min_limbs: int, thresholds=None) -> bool:
     """Whether ``auto`` selection commits this request to a compiled
     specialized kernel (:mod:`repro.plan.codegen`).
@@ -114,7 +102,7 @@ def specialize(op: str, min_limbs: int, thresholds=None) -> bool:
     kill switch.  Only mul/sqr/div specialize (powmod's hot loop is
     already one kernel).
     """
-    if op not in ("mul", "sqr", "div") or not _codegen_enabled():
+    if op not in ("mul", "sqr", "div") or not _env.enabled(_env.CODEGEN):
         return False
     if thresholds is None:
         thresholds = active()
@@ -130,7 +118,7 @@ def mul_backend(min_limbs: int, thresholds=None) -> str:
     ``packed_mul_limbs`` threshold (0 disables the backend, as does the
     ``REPRO_PACKED=0`` kill switch).
     """
-    if not _packed_enabled():
+    if not _env.enabled(_env.PACKED):
         return "limb"
     if thresholds is None:
         thresholds = active()
@@ -142,7 +130,7 @@ def mul_backend(min_limbs: int, thresholds=None) -> str:
 
 def div_backend(divisor_limbs: int, thresholds=None) -> str:
     """``"packed"`` or ``"limb"`` for a division by this divisor."""
-    if not _packed_enabled():
+    if not _env.enabled(_env.PACKED):
         return "limb"
     if thresholds is None:
         thresholds = active()
@@ -164,7 +152,7 @@ def batch_mul_backend(min_limbs: int, batch_size: int,
     with no serialization point — the amortized regime of the paper's
     CGBN comparison.  0 disables the path, as does ``REPRO_RNS=0``.
     """
-    if batch_size < 2 or not _rns_enabled():
+    if batch_size < 2 or not _env.enabled(_env.RNS):
         return mul_backend(min_limbs, thresholds)
     if thresholds is None:
         thresholds = active()
@@ -181,7 +169,7 @@ def powmod_backend() -> str:
     at every measured modulus, from 17 bits up, so there is no
     crossover: only the ``REPRO_PACKED=0`` kill switch selects limb.
     """
-    return "packed" if _packed_enabled() else "limb"
+    return "packed" if _env.enabled(_env.PACKED) else "limb"
 
 
 def _refinement_space(op: str, thresholds) -> Tuple[List[str],
@@ -198,9 +186,9 @@ def _refinement_space(op: str, thresholds) -> Tuple[List[str],
         packed_attr = "packed_mul_limbs" if op in ("mul", "sqr") \
             else "packed_div_limbs"
         packed = getattr(thresholds, packed_attr, 0) \
-            if _packed_enabled() else 0
+            if _env.enabled(_env.PACKED) else 0
         specialize_limbs = getattr(thresholds, "specialize_limbs", 0) \
-            if _codegen_enabled() else 0
+            if _env.enabled(_env.CODEGEN) else 0
         if packed:
             candidates.append("packed")
             crossovers.append(packed)
@@ -293,9 +281,13 @@ def barrett_profitable(modulus_limbs: int,
 
 
 def active():
-    """The tuned :class:`~repro.mpn.tune.Thresholds` for this host."""
-    from repro.mpn.tune import active_thresholds
-    return active_thresholds()
+    """The tuned :class:`~repro.mpn.tune.Thresholds` for this host.
+
+    Rebinds itself to :func:`repro.mpn.tune.active_thresholds` on the
+    first call (tune imports the kernels, which import this module)."""
+    global active
+    from repro.mpn.tune import active_thresholds as active
+    return active()
 
 
 def fingerprint(thresholds=None) -> Tuple[int, ...]:

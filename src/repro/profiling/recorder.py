@@ -78,32 +78,49 @@ class OperationTrace:
 
 
 class _Recorder:
-    """Module-global recorder with nesting suppression."""
+    """Module-global recorder state: the open trace and kernel depth."""
 
     def __init__(self) -> None:
         self.trace: Optional[OperationTrace] = None
         self.depth = 0
 
-    def enter(self, name: str, bits_a: int, bits_b: int) -> None:
-        if self.trace is not None and self.depth == 0:
-            self.trace.ops.append(KernelOp(name, bits_a, bits_b))
-        self.depth += 1
-
-    def exit(self) -> None:
-        self.depth -= 1
-
 
 _RECORDER = _Recorder()
 
 
-@contextmanager
-def kernel(name: str, bits_a: int, bits_b: int = 0) -> Iterator[None]:
-    """Mark a kernel invocation; nested invocations are not recorded."""
-    _RECORDER.enter(name, bits_a, bits_b)
-    try:
-        yield
-    finally:
-        _RECORDER.exit()
+def _width(operand) -> int:
+    """A bitwidth given as an int, or the width of a limb list."""
+    if isinstance(operand, int):
+        return operand
+    from repro.mpn.nat import bit_length  # repro.mpn imports this module
+    return bit_length(operand)
+
+
+class kernel:
+    """Mark a kernel invocation; nested invocations are not recorded.
+
+    ``a``/``b`` are the operand bitwidths, or the limb lists themselves
+    (:mod:`repro.mpn.nat`), whose widths are taken only when a session
+    records the invocation.  A slotted class rather than a generator:
+    every public mpn wrapper enters one per call, recording or not.
+    """
+
+    __slots__ = ("name", "a", "b")
+
+    def __init__(self, name: str, a, b=0) -> None:
+        self.name = name
+        self.a = a
+        self.b = b
+
+    def __enter__(self) -> None:
+        recorder = _RECORDER
+        if recorder.trace is not None and recorder.depth == 0:
+            recorder.trace.ops.append(
+                KernelOp(self.name, _width(self.a), _width(self.b)))
+        recorder.depth += 1
+
+    def __exit__(self, *exc_info) -> None:
+        _RECORDER.depth -= 1
 
 
 @contextmanager

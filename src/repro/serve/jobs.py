@@ -116,9 +116,11 @@ class Job:
         """Memo key for idempotent, parameter-pure job types.
 
         Includes the plan's memo key (thresholds fingerprint +
-        algorithm choice), so a ``repro tune`` retune in a running
-        server changes every cache key and can never serve a result
-        computed under the old plan.
+        algorithm choice), so a change of tuning changes every cache
+        key and can never serve a result computed under the old plan.
+        A server holds its thresholds in memory: a ``repro tune`` run
+        in another process takes effect when the server restarts, a
+        save in the server's own process at once.
         """
         if self.op in ("pi_digits", "model_cycles"):
             salt = self.plan.memo_key if self.plan is not None else ()

@@ -217,6 +217,24 @@ class TestAdmissionConsumers:
         assert cost.seed_rate_cycles_per_ms() \
             == pytest.approx(2.0 * 1e6)
 
+    def test_idle_server_admits_20000_digit_pi(self):
+        # A fresh server seeds its wait estimate from the fitted
+        # cycles/ms rate.  pi_digits is priced as the Chudnovsky
+        # binary splitting the executor runs (~0.6 s of wall time at
+        # 20,000 digits), so the default 10 s bound admits it.
+        from pathlib import Path
+
+        from repro.cost import dataset
+        from repro.serve.server import ReproServer, ServeConfig
+        rows = dataset.load_rows(Path(__file__).resolve().parents[2]
+                                 / "results" / "COST_dataset.jsonl")
+        model_mod.save(model_mod.fit(rows, select.fingerprint()))
+        server = ReproServer(ServeConfig())
+        assert server.config.max_wait_ms == 10_000.0
+        assert server.seed_service_rate() is not None
+        job = make_job({"op": "pi_digits", "params": {"digits": 20000}})
+        assert server.queue.try_submit(job) is None
+
     def test_seed_rate_none_without_model(self):
         # A modelless boot must stay cold (depth-bound admission),
         # exactly like the analytic build.

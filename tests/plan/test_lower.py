@@ -91,6 +91,23 @@ class TestCost:
                             detail=(("mod_odd", 1),)))
         assert plan.cost() == mpapca.powmod_cycles(2048, 17)
 
+    def test_pi_digits_prices_the_chudnovsky_run(self):
+        from repro.apps import pi
+        plan = lower(OpSpec("pi_digits", detail=(("digits", 20000),)))
+        terms, bits = pi.series_size(20000)
+        assert pi.compute_pi(50).terms == pi.series_size(50)[0]
+        assert plan.algorithm == "chudnovsky"
+        assert [step.algorithm for step in plan.steps][:3] == \
+            ["chudnovsky", "binary-splitting", "newton-sqrt"]
+        assert "%d series terms at %d bits" % (terms, bits) \
+            in plan.steps[0].note
+        # At least the final division, sqrt and product; well below
+        # the bits/4 full-precision divisions a Machin series needs.
+        floor = mpapca.div_cycles(2 * bits, bits) \
+            + mpapca.sqrt_cycles(2 * bits)
+        assert floor < plan.cost() < 100 * floor
+        assert plan.cost() < bits // 4 * mpapca.div_cycles(bits, bits)
+
     def test_seconds_uses_device_frequency(self):
         plan = lower(OpSpec.for_mul(4096, 4096))
         assert plan.seconds() == pytest.approx(
